@@ -2,7 +2,7 @@
 
 Times ``Histogram.observe`` over one deterministic value stream for the
 three backends a ``Telemetry`` registry can record through — the
-``NullTelemetry`` no-op floor, the exact (uncapped) sample list, and
+``NullTelemetry`` no-op floor, the exact raw-sample list, and
 the mergeable quantile sketch — and publishes the sketch backend's
 overhead relative to exact as ``obs:overhead_pct``.
 
@@ -64,11 +64,8 @@ def test_recording_overhead_budget():
         # The no-op floor: what instrumented code pays when telemetry
         # is disabled (the common case in production sweeps).
         "null": _observe_wall(NullTelemetry(), values),
-        # Uncapped exact backend, so the cap's cheaper drop path never
-        # skews the comparison.
         "exact": _observe_wall(
-            Telemetry(Simulator(), max_samples=None,
-                      histogram_backend="exact"), values),
+            Telemetry(Simulator(), histogram_backend="exact"), values),
         "sketch": _observe_wall(
             Telemetry(Simulator(), histogram_backend="sketch"), values),
     }

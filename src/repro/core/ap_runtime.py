@@ -37,7 +37,6 @@ from repro.httplib.url import Url
 from repro.net.address import DUMMY_IP, IPv4Address
 from repro.net.node import Node, TCP_HTTP_PORT, UDP_DNS_PORT
 from repro.net.transport import Transport
-from repro.sim.tracing import EventTrace
 from repro.telemetry.spans import ParentLike, parse_trace_parent
 
 if _t.TYPE_CHECKING:  # pragma: no cover
@@ -68,7 +67,6 @@ class ApRuntime(ForwardingDnsService):
                  upstream: "IPv4Address | str",
                  config: ApeCacheConfig | None = None,
                  policy: EvictionPolicy | None = None,
-                 tracer: "EventTrace | None" = None,
                  telemetry: "Telemetry | None" = None) -> None:
         self.config = config or ApeCacheConfig()
         super().__init__(node, transport, upstream,
@@ -90,8 +88,6 @@ class ApRuntime(ForwardingDnsService):
             "ap.edge_fetch_ms", help="AP-to-edge retrieval latency (ms)")
         self._t_http = self.telemetry.counter(
             "ap.http_requests", help="cache-endpoint requests, by mode")
-        self.tracer = tracer
-        self._url_by_hash: dict[bytes, str] = {}
         # Statistics surfaced by the overhead experiments (Fig. 14).
         self.dns_cache_queries = 0
         self.plain_dns_queries = 0
@@ -133,10 +129,6 @@ class ApRuntime(ForwardingDnsService):
         yield self.node.occupy_cpu(self.config.dns_cache_extra_cpu_s)
         domain = query.question_name()
         result = self._build_flags(lookup, domain)
-        if self.tracer is not None:
-            self.tracer.log("dns-cache", "lookup answered",
-                            domain=str(domain), entries=len(result.rdata),
-                            all_hit=result.all_hit)
 
         if result.all_hit and self.config.enable_dummy_ip_short_circuit:
             # Short circuit: no upstream resolution; dummy IP, TTL 0.
@@ -160,38 +152,41 @@ class ApRuntime(ForwardingDnsService):
     def _build_flags(self, lookup: CacheLookupRdata,
                      domain: DomainName) -> "_FlagResult":
         """Flags for every requested hash, plus every cached same-domain
-        URL the client did not ask about (per-domain batching)."""
+        URL the client did not ask about (per-domain batching).
+
+        One scan of the store indexes the fresh same-domain entries by
+        URL hash.  A requested hash is a Cache-Miss when blocked, a
+        Cache-Hit when indexed, and otherwise (unknown, expired, or
+        another domain's) a Delegation offer.  Requested hashes come
+        first in request order, then the unrequested cached ones in
+        store order.
+        """
         now = self.sim.now
+        cached: dict[bytes, CacheEntry] = {}
+        for entry in self.store.entries():
+            if entry.is_expired(now):
+                continue
+            url = Url.parse(entry.url)
+            if url.domain == domain:
+                cached[hash_url(url.base)] = entry
         rdata = CacheLookupRdata()
-        requested = set()
         all_hit = len(lookup) > 0
-        for entry in lookup:
-            requested.add(entry.url_hash)
-            flag = self._flag_for_hash(entry.url_hash, now)
+        for requested in lookup:
+            url_hash = requested.url_hash
+            if self.blocklist.is_blocked_hash(url_hash):
+                flag = CacheFlag.CACHE_MISS
+            elif url_hash in cached:
+                flag = CacheFlag.CACHE_HIT
+            else:
+                flag = CacheFlag.DELEGATION
             if flag != CacheFlag.CACHE_HIT:
                 all_hit = False
-            rdata.add(entry.url_hash, flag)
-        for cached in self.store.entries():
-            if cached.is_expired(now):
-                continue
-            url = Url.parse(cached.url)
-            if url.domain != domain:
-                continue
-            cached_hash = hash_url(url.base)
-            if cached_hash not in requested:
-                rdata.add(cached_hash, CacheFlag.CACHE_HIT)
+            rdata.add(url_hash, flag)
+        asked = set(lookup.hashes())
+        for url_hash in cached:
+            if url_hash not in asked:
+                rdata.add(url_hash, CacheFlag.CACHE_HIT)
         return self._FlagResult(rdata, all_hit)
-
-    def _flag_for_hash(self, url_hash: bytes, now: float) -> CacheFlag:
-        if self.blocklist.is_blocked_hash(url_hash):
-            return CacheFlag.CACHE_MISS
-        url = self._url_by_hash.get(url_hash)
-        if url is not None:
-            entry = self.store.peek(url)
-            if entry is not None and not entry.is_expired(now):
-                return CacheFlag.CACHE_HIT
-        # Unknown hash, or known-but-expired: the AP offers to delegate.
-        return CacheFlag.DELEGATION
 
     # ------------------------------------------------------------------
     # HTTP endpoint: cache fetch + delegation
@@ -399,16 +394,6 @@ class ApRuntime(ForwardingDnsService):
             admission = self.store.admit(entry, self.policy, now)
             span.set_attr("admitted", admission.admitted)
             span.set_attr("evicted", len(admission.evicted))
-        self._url_by_hash[hash_url(entry.url)] = entry.url
-        if self.tracer is not None:
-            self.tracer.log("admission", "object cached",
-                            url=entry.url, bytes=entry.size_bytes,
-                            evicted=len(admission.evicted),
-                            used=self.store.used_bytes)
-            for victim in admission.evicted:
-                self.tracer.log("eviction", "object evicted",
-                                url=victim.url, app=victim.app_id,
-                                priority=victim.priority)
 
     # ------------------------------------------------------------------
     # Introspection used by experiments
@@ -416,12 +401,12 @@ class ApRuntime(ForwardingDnsService):
     def memory_bytes(self) -> int:
         """Extra AP memory attributable to APE-CACHE right now.
 
-        Cached payload bytes plus per-entry/table overheads; used by the
-        Fig. 14 resource model.
+        Cached payload bytes plus, per cached object, an entry record
+        and its URL-hash slot, plus one hash slot per blocked object;
+        used by the Fig. 14 resource model.
         """
         per_entry_overhead = 96
         per_hash_overhead = 56
         return (self.store.used_bytes +
-                len(self.store) * per_entry_overhead +
-                len(self._url_by_hash) * per_hash_overhead +
+                len(self.store) * (per_entry_overhead + per_hash_overhead) +
                 len(self.blocklist) * per_hash_overhead)

@@ -79,10 +79,9 @@ def metric_records(telemetry: Telemetry) -> list[dict[str, object]]:
             elif isinstance(instrument, Gauge):
                 record["value"] = instrument.value(**keyed)
             elif isinstance(instrument, Histogram):
-                # The summary's "backend" key states how percentiles
-                # were computed (exact/capped/sketch); the top-level
-                # key mirrors the configured storage strategy so
-                # consumers can filter without parsing summaries.
+                # The storage strategy (exact/sketch) at the top level
+                # too, so consumers can filter without parsing
+                # summaries.
                 record["backend"] = instrument.backend
                 record["summary"] = instrument.summary(**keyed)
                 record["buckets"] = list(instrument.buckets)

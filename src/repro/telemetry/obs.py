@@ -251,7 +251,6 @@ class ObsRun:
 def instrumented_run(quick: bool = True, seed: int = 0,
                      profile: bool = False,
                      system: "CachingSystem | None" = None,
-                     max_samples: int | None = None,
                      backend: str = "exact",
                      tail_threshold_ms: float | None = None,
                      tail_sample_every: int = 0) -> ObsRun:
@@ -266,7 +265,6 @@ def instrumented_run(quick: bool = True, seed: int = 0,
         n_apps=30, duration_s=duration, seed=seed,
         testbed=TestbedConfig(
             seed=seed, enable_telemetry=True,
-            telemetry_max_samples=max_samples,
             telemetry_backend=backend,
             telemetry_tail_threshold_ms=tail_threshold_ms,
             telemetry_tail_sample_every=tail_sample_every))
@@ -324,12 +322,6 @@ def run_obs(quick: bool = True, seed: int = 0,
         tables[0].notes.append(
             f"histogram backend: {backend} (percentiles within the "
             f"declared relative-error bound of exact)")
-    dropped = telemetry.get("telemetry.samples_dropped")
-    if isinstance(dropped, Counter) and dropped.total():
-        tables[0].notes.append(
-            f"WARNING: {dropped.total():.0f} raw histogram samples "
-            f"dropped (telemetry.samples_dropped; raise "
-            f"--max-samples or use --backend sketch)")
     sampler = telemetry.spans.sampler
     if sampler is not None:
         stats = sampler.stats()

@@ -8,6 +8,7 @@ from repro.dnslib import hash_url
 from repro.dnslib.cache_rr import CacheLookupRdata
 from repro.dnslib.name import DomainName
 from repro.sim import HOUR, MINUTE
+from repro.telemetry import Telemetry
 from repro.testbed import Testbed, TestbedConfig
 
 KB = 1024
@@ -30,28 +31,33 @@ def cache_object(bed, runtime, url, size=10 * KB, ttl_s=1 * HOUR):
     bed.sim.run(until=bed.sim.process(runtime.fetch(url)))
 
 
+def flag_for(ap, url, domain="internalsapp.example"):
+    """The flag a DNS-Cache lookup for ``domain`` returns for ``url``."""
+    request = CacheLookupRdata()
+    request.add_url(url)
+    return ap._build_flags(request, DomainName(domain)).rdata.flag_for(url)
+
+
 def test_flag_for_unknown_hash_is_delegation(env):
     _bed, ap, _runtime = env
-    flag = ap._flag_for_hash(hash_url("http://never.example/x"), now=0.0)
-    assert flag == CacheFlag.DELEGATION
+    assert flag_for(ap, "http://never.example/x", "never.example") == \
+        CacheFlag.DELEGATION
 
 
 def test_flag_for_cached_then_expired(env):
     bed, ap, runtime = env
     url = "http://internalsapp.example/short"
     cache_object(bed, runtime, url, ttl_s=1 * MINUTE)
-    assert ap._flag_for_hash(hash_url(url), bed.sim.now) == \
-        CacheFlag.CACHE_HIT
-    assert ap._flag_for_hash(hash_url(url), bed.sim.now + 2 * MINUTE) \
-        == CacheFlag.DELEGATION
+    assert flag_for(ap, url) == CacheFlag.CACHE_HIT
+    bed.sim.run(until=bed.sim.now + 2 * MINUTE)
+    assert flag_for(ap, url) == CacheFlag.DELEGATION
 
 
 def test_flag_for_blocked_hash_is_miss(env):
     _bed, ap, _runtime = env
     url = "http://internalsapp.example/huge"
     ap.blocklist.block(url)
-    assert ap._flag_for_hash(hash_url(url), now=0.0) == \
-        CacheFlag.CACHE_MISS
+    assert flag_for(ap, url) == CacheFlag.CACHE_MISS
 
 
 def test_build_flags_appends_unrequested_same_domain_hits(env):
@@ -123,6 +129,51 @@ def test_memory_bytes_counts_blocklist(env):
     before = ap.memory_bytes()
     ap.blocklist.block("http://internalsapp.example/blocked")
     assert ap.memory_bytes() > before
+
+
+def test_memory_bytes_charges_only_what_the_ap_holds():
+    # Fig. 14's resource model: payload plus one entry record and one
+    # hash slot per cached object, plus one hash slot per blocked
+    # object; URLs the AP admitted and later evicted (or never
+    # admitted) cost nothing.
+    bed = Testbed(TestbedConfig(jitter_fraction=0.0))
+    ap = ApRuntime(bed.ap, bed.transport, bed.ldns.address,
+                   config=ApeCacheConfig(cache_capacity_bytes=32 * KB,
+                                         blocklist_threshold_bytes=6 * KB))
+    ap.install()
+    runtime = ClientRuntime(bed.add_client("phone"), bed.transport,
+                            bed.ap.address, app_id="fig14")
+    for index in range(60):
+        size = 8 * KB if index % 10 == 9 else 3 * KB
+        cache_object(bed, runtime, f"http://fig14app.example/obj{index}",
+                     size=size)
+    assert ap.edge_fetches >= 50
+    assert 0 < len(ap.store) < 50
+    assert len(ap.blocklist) == 6
+    assert ap.memory_bytes() == (ap.store.used_bytes
+                                 + len(ap.store) * (96 + 56)
+                                 + len(ap.blocklist) * 56)
+
+
+def test_ap_runtime_emits_protocol_events():
+    bed = Testbed(TestbedConfig(jitter_fraction=0.0))
+    telemetry = Telemetry(bed.sim)
+    ap = ApRuntime(bed.ap, bed.transport, bed.ldns.address,
+                   config=ApeCacheConfig(cache_capacity_bytes=32 * KB),
+                   telemetry=telemetry)
+    ap.install()
+    runtime = ClientRuntime(bed.add_client("phone"), bed.transport,
+                            bed.ap.address, app_id="traced")
+    for index in range(4):
+        cache_object(bed, runtime, f"http://tracedapp.example/obj{index}",
+                     size=12 * KB)
+
+    assert ap.dns_cache_queries >= 1
+    admits = telemetry.spans.finished("ap.pacm_admit")
+    assert [span.attrs["admitted"] for span in admits] == [True] * 4
+    # 4 x 12 KB into a 32 KB cache forces at least one eviction.
+    events = telemetry.get("cache.events")
+    assert events.total(tier="ap", event="eviction") >= 1
 
 
 def test_short_circuit_disabled_still_reports_flags():

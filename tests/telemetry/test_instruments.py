@@ -1,9 +1,11 @@
-"""Instrument unit tests: labels, aggregation, bucket edges."""
+"""Instrument unit tests: labels, aggregation, bucket edges, and the
+percentile helper histograms compute through."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import TelemetryError
-from repro.sim.monitor import percentile
 from repro.telemetry import (
     DEFAULT_LATENCY_BUCKETS_MS,
     Counter,
@@ -11,6 +13,7 @@ from repro.telemetry import (
     Histogram,
     labelset,
 )
+from repro.telemetry.instruments import percentile
 
 
 # ----------------------------------------------------------------------
@@ -141,50 +144,37 @@ def test_histogram_empty_reads_raise_or_report_zero():
 
 
 # ----------------------------------------------------------------------
-# The max_samples cap
+# percentile
 # ----------------------------------------------------------------------
-def test_histogram_cap_keeps_aggregates_exact_and_counts_drops():
-    hist = Histogram("lat", buckets=(10.0, 100.0), max_samples=5)
-    for value in range(1, 11):  # 1..10; only 1..5 are retained
-        hist.observe(float(value))
-    assert hist.count() == 10           # full count survives the cap
-    assert hist.dropped() == 5
-    assert hist.sum() == pytest.approx(55.0)   # exact, cap or not
-    assert sorted(hist.samples()) == [1.0, 2.0, 3.0, 4.0, 5.0]
-    summary = hist.summary()
-    assert summary["count"] == 10.0
-    assert summary["samples_dropped"] == 5.0
-    assert summary["mean"] == pytest.approx(5.5)  # sum/count: exact
-    # Percentiles degrade to first-max_samples-exact.
-    assert summary["p50"] == percentile([1.0, 2.0, 3.0, 4.0, 5.0], 50.0)
+def test_percentile_basics():
+    values = [1.0, 2.0, 3.0, 4.0, 5.0]
+    assert percentile(values, 0) == 1.0
+    assert percentile(values, 50) == 3.0
+    assert percentile(values, 100) == 5.0
+    assert percentile(values, 25) == pytest.approx(2.0)
 
 
-def test_histogram_cap_is_per_label_set():
-    hist = Histogram("lat", buckets=(10.0,), max_samples=2)
-    for value in (1.0, 2.0, 3.0):
-        hist.observe(value, app="maps")
-    hist.observe(9.0, app="mail")
-    assert hist.dropped(app="maps") == 1
-    assert hist.dropped(app="mail") == 0
-    assert hist.count() == 4
+def test_percentile_interpolates():
+    assert percentile([1.0, 2.0], 50) == pytest.approx(1.5)
+    assert percentile([0.0, 10.0], 95) == pytest.approx(9.5)
 
 
-def test_uncapped_summary_has_no_samples_dropped_key():
-    hist = Histogram("lat", buckets=(10.0,), max_samples=5)
-    hist.observe(1.0)
-    assert "samples_dropped" not in hist.summary()
+def test_percentile_single_value():
+    assert percentile([7.0], 95) == 7.0
 
 
-def test_histogram_rejects_nonpositive_cap():
-    with pytest.raises(TelemetryError):
-        Histogram("lat", buckets=(1.0,), max_samples=0)
+def test_percentile_validation():
+    with pytest.raises(ValueError):
+        percentile([], 50)
+    with pytest.raises(ValueError):
+        percentile([1.0], 101)
 
 
-def test_on_drop_hook_fires_once_per_dropped_sample():
-    names = []
-    hist = Histogram("lat", buckets=(1.0,), max_samples=1,
-                     on_drop=names.append)
-    hist.observe(0.5)
-    hist.observe(0.5)
-    hist.observe(0.5)
-    assert names == ["lat", "lat"]
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.floats(min_value=-1e6, max_value=1e6,
+                          allow_nan=False), min_size=1, max_size=50),
+       st.floats(min_value=0, max_value=100))
+def test_percentile_matches_numpy(values, q):
+    import numpy as np
+    assert percentile(values, q) == pytest.approx(
+        float(np.percentile(values, q)), rel=1e-9, abs=1e-9)

@@ -54,7 +54,6 @@ def test_ap_reboot_recovers_via_delegation():
     # Power cycle: all volatile state is lost.
     ap.store.clear()
     ap.blocklist.clear()
-    ap._url_by_hash.clear()
     ap._cache.clear()  # the DNS forwarder cache
 
     runtime.flush()
@@ -74,7 +73,6 @@ def test_client_flag_staleness_after_ap_reboot():
     fetch(bed, runtime, url)  # local flag table now says CACHE_HIT
 
     ap.store.clear()
-    ap._url_by_hash.clear()
 
     # Client still believes in the hit; the AP falls back to a
     # delegation-style fetch instead of 404ing.
@@ -102,7 +100,6 @@ def test_delegation_for_unresolvable_domain_reports_servfail():
 
     # The domain's delegation disappears (registrar failure).
     ap.store.clear()
-    ap._url_by_hash.clear()
     ap._cache.clear()
     bed.registry._delegations.pop(
         next(d for d in bed.registry._delegations
