@@ -10,16 +10,25 @@ silence a single line, use ``# lint: disable=CODE``.
 
 import pathlib
 
+import pytest
+
 from repro.lint import lint_paths, load_config
 from repro.lint.baseline import load_baseline, split_by_baseline
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
-def test_src_has_no_unbaselined_lint_findings():
+@pytest.fixture(scope="module")
+def lint_run():
+    """One full lint of ``src/``, shared by both assertions."""
     config = load_config(REPO_ROOT)
     findings = lint_paths([REPO_ROOT / path for path in config.paths],
                           config)
+    return config, findings
+
+
+def test_src_has_no_unbaselined_lint_findings(lint_run):
+    config, findings = lint_run
     baseline = load_baseline(config.baseline_path())
     fresh, _grandfathered = split_by_baseline(findings, baseline)
     assert fresh == [], (
@@ -29,12 +38,10 @@ def test_src_has_no_unbaselined_lint_findings():
         + "\n".join(finding.render() for finding in fresh))
 
 
-def test_baseline_has_no_stale_entries():
+def test_baseline_has_no_stale_entries(lint_run):
     # Entries that no longer correspond to a real finding mean the code
     # was fixed but the baseline wasn't regenerated; keep it honest.
-    config = load_config(REPO_ROOT)
-    findings = lint_paths([REPO_ROOT / path for path in config.paths],
-                          config)
+    config, findings = lint_run
     current_keys = {finding.baseline_key() for finding in findings}
     stale = load_baseline(config.baseline_path()) - current_keys
     assert stale == set(), (
