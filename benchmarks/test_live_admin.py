@@ -7,11 +7,12 @@ exposition grammar and return byte-identical text (the idle-scrape
 determinism ``tools/check.sh`` gates on), and the wall latency per
 scrape lands in ``BENCH_obs.json``.
 
-Following the report convention (see ``test_telemetry_overhead``):
-the ``live_admin`` section carries only deterministic facts (endpoint
-set, scrape count, verdict); wall-derived numbers — scrape
-milliseconds, exposition byte size (float reprs wiggle run to run) —
-go under the nondeterministic ``timings`` subtree.
+Following the report convention of ``repro.cli sentry`` (see
+:func:`repro.telemetry.sentry.sentry_report`): the ``live_admin``
+section carries only deterministic facts (endpoint set, scrape count,
+verdict); wall-derived numbers — scrape milliseconds, exposition byte
+size (float reprs wiggle run to run) — go under the nondeterministic
+``timings`` subtree.
 """
 
 import asyncio

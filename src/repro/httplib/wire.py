@@ -27,6 +27,8 @@ runtime byte-path-agnostic.
 from __future__ import annotations
 
 import asyncio
+import math
+import typing as _t
 
 from repro.errors import HttpError
 from repro.httplib.content import DataObject
@@ -123,8 +125,9 @@ async def read_request(reader: asyncio.StreamReader) -> HttpRequest:
         # request line and host header; scheme is http on loopback.
         host = headers.get("host", "localhost")
         full_url = f"http://{host}{parts[1]}"
-    body_bytes = int(headers.get("x-repro-body-bytes", "0"))
-    await _drain_body(reader, int(headers.get("content-length", "0")))
+    body_bytes = _header_number(headers, "x-repro-body-bytes", int)
+    await _drain_body(reader,
+                      _header_number(headers, "content-length", int))
     return HttpRequest(
         Url.parse(full_url), method,
         {name: value for name, value in headers.items()
@@ -139,15 +142,17 @@ async def read_response(reader: asyncio.StreamReader) -> HttpResponse:
     if len(parts) < 2 or not parts[1].isdigit():
         raise HttpError(f"malformed status line {start_line!r}")
     status = int(parts[1])
-    size = int(headers.get("content-length", "0"))
+    size = _header_number(headers, "content-length", int)
     await _drain_body(reader, size)
     body: DataObject | None = None
     object_url = headers.get("x-repro-object-url")
     if object_url is not None:
         body = DataObject(
             object_url, size,
-            version=int(headers.get("x-repro-object-version", "1")),
-            created_at=float(headers.get("x-repro-object-created", "0.0")))
+            version=_header_number(headers, "x-repro-object-version",
+                                   int, default="1"),
+            created_at=_header_number(headers, "x-repro-object-created",
+                                      float))
     return HttpResponse(
         status,
         {name: value for name, value in headers.items()
@@ -177,6 +182,29 @@ async def _read_head(reader: asyncio.StreamReader,
             raise HttpError(f"malformed header line {line!r}")
         headers[name.strip().lower()] = value.strip()
     return lines[0], headers
+
+
+_Number = _t.TypeVar("_Number", int, float)
+
+
+def _header_number(headers: dict[str, str], name: str,
+                   kind: _t.Callable[[str], _Number],
+                   default: str = "0") -> _Number:
+    """A numeric header as a finite, non-negative ``kind`` value.
+
+    An absent header reads as ``default``; a value that does not parse,
+    is negative, or is not finite is malformed input and raises
+    :class:`HttpError`.
+    """
+    text = headers.get(name, default)
+    try:
+        value = kind(text)
+    except ValueError:
+        raise HttpError(f"non-numeric {name} header {text!r}") from None
+    if not 0 <= value < math.inf:  # NaN fails both comparisons
+        raise HttpError(f"{name} header must be finite and non-negative, "
+                        f"got {text!r}")
+    return value
 
 
 async def _drain_body(reader: asyncio.StreamReader, size: int) -> None:

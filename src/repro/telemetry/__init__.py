@@ -40,7 +40,6 @@ from repro.telemetry.export import (
 )
 from repro.telemetry.instruments import (
     DEFAULT_LATENCY_BUCKETS_MS,
-    HISTOGRAM_BACKENDS,
     Counter,
     Gauge,
     Histogram,
@@ -51,7 +50,6 @@ from repro.telemetry.instruments import (
 from repro.telemetry.profiling import HostProfile, HostProfileReport
 from repro.telemetry.registry import NULL, NullTelemetry, Telemetry
 from repro.telemetry.sampling import TailSampler
-from repro.telemetry.sketch import DEFAULT_RELATIVE_ERROR, QuantileSketch
 from repro.telemetry.spans import (
     Span,
     SpanLog,
@@ -64,9 +62,7 @@ __all__ = [
     "AttributionReport",
     "Counter",
     "DEFAULT_LATENCY_BUCKETS_MS",
-    "DEFAULT_RELATIVE_ERROR",
     "Gauge",
-    "HISTOGRAM_BACKENDS",
     "Histogram",
     "HostProfile",
     "HostProfileReport",
@@ -74,7 +70,6 @@ __all__ = [
     "LabelSet",
     "NULL",
     "NullTelemetry",
-    "QuantileSketch",
     "Span",
     "SpanLog",
     "SpanRecord",

@@ -17,10 +17,7 @@ reads it back so ``repro.cli obs --follow`` can rebuild the registry
 under the original names).
 
 Histograms render as cumulative ``le`` buckets plus ``_sum`` and
-``_count``.  Exact-backed series expose their configured bounds;
-sketch-backed series expose their **gamma log-buckets** (upper bound
-``gamma^i``) and carry ``backend="sketch"`` / ``alpha`` labels so a
-scrape never silently mixes fidelities.
+``_count`` over the histogram's configured bounds.
 
 :func:`telemetry_from_exposition` is the inverse used by ``obs
 --follow``: it rebuilds counters and gauges exactly and refills each
@@ -125,14 +122,8 @@ def render_prometheus(telemetry: Telemetry) -> str:
                              f"{_fnum(value)}")
         elif isinstance(instrument, Histogram):
             for key in instrument.labelsets():
-                rows, total, folded, backend = \
-                    instrument.cumulative_rows(key)
-                extra = [("backend", backend)]
-                if backend == "sketch":
-                    extra.append(
-                        ("alpha",
-                         f"{instrument.sketch_relative_error:g}"))
-                series = _series_labels(key, extra)
+                rows, total, folded = instrument.cumulative_rows(key)
+                series = list(key)
                 for bound, cumulative in rows:
                     bucket = _series_labels(series,
                                             [("le", _fnum(bound))])
@@ -394,13 +385,9 @@ def _rebuild_histogram(telemetry: Telemetry, name: str,
     buckets: dict[SeriesKey, dict[float, float]] = {}
     counts: dict[SeriesKey, float] = {}
     bounds: set[float] = set()
-    # ``backend``/``alpha`` are exposition metadata stamped by the
-    # renderer, not user labels — keeping them would double up on the
-    # next render (the rebuilt series gets its own backend tag).
-    synthetic = ("le", "backend", "alpha")
     for sample_name, labels, value in family.samples:
         series = tuple(sorted((key, val) for key, val in labels.items()
-                              if key not in synthetic))
+                              if key != "le"))
         if sample_name.endswith("_bucket"):
             bound = _parse_value(labels.get("le", "+Inf"), 0)
             buckets.setdefault(series, {})[bound] = value

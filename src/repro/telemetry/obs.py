@@ -251,12 +251,10 @@ class ObsRun:
 def instrumented_run(quick: bool = True, seed: int = 0,
                      profile: bool = False,
                      system: "CachingSystem | None" = None,
-                     backend: str = "exact",
                      tail_threshold_ms: float | None = None,
                      tail_sample_every: int = 0) -> ObsRun:
     """Run the paper's workload with telemetry on; the obs/sentry core.
 
-    ``backend`` selects histogram storage (``exact``/``sketch``);
     ``tail_threshold_ms``/``tail_sample_every`` attach a tail-based
     trace sampler (off by default, so every trace is kept).
     """
@@ -265,7 +263,6 @@ def instrumented_run(quick: bool = True, seed: int = 0,
         n_apps=30, duration_s=duration, seed=seed,
         testbed=TestbedConfig(
             seed=seed, enable_telemetry=True,
-            telemetry_backend=backend,
             telemetry_tail_threshold_ms=tail_threshold_ms,
             telemetry_tail_sample_every=tail_sample_every))
     workload = Workload(config)
@@ -291,7 +288,6 @@ def run_obs(quick: bool = True, seed: int = 0,
             profile: bool = False,
             metrics_path: str | None = None,
             trace_path: str | None = None,
-            backend: str = "exact",
             tail_threshold_ms: float | None = None,
             tail_sample_every: int = 0,
             fleet: int = 0,
@@ -303,7 +299,6 @@ def run_obs(quick: bool = True, seed: int = 0,
     traces with their per-stage self-time breakdown.
     """
     run = instrumented_run(quick, seed, profile=profile,
-                           backend=backend,
                            tail_threshold_ms=tail_threshold_ms,
                            tail_sample_every=tail_sample_every)
     telemetry = run.telemetry
@@ -318,10 +313,6 @@ def run_obs(quick: bool = True, seed: int = 0,
         f"{len(telemetry.spans)} spans, "
         f"{len(telemetry.instruments())} instruments recorded over "
         f"{run.duration_s:.0f} sim-s (seed {seed})")
-    if backend != "exact":
-        tables[0].notes.append(
-            f"histogram backend: {backend} (percentiles within the "
-            f"declared relative-error bound of exact)")
     sampler = telemetry.spans.sampler
     if sampler is not None:
         stats = sampler.stats()
@@ -431,7 +422,7 @@ def fleet_table(merged: Telemetry, n_shards: int) -> ExperimentTable:
         f"Gini over per-AP hit ratios: {gini(ratios):.3f} "
         f"(0 = perfectly even)")
     table.notes.append(
-        f"merged from {n_shards} per-AP sketch shards via "
+        f"merged from {n_shards} per-AP shards via "
         f"Telemetry.merge (order-independent fold)")
     return table
 

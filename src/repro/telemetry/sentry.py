@@ -38,11 +38,10 @@ of six selector forms:
     The scheduler microbenchmark's throughput floor.  Validated here
     but **evaluated by** ``benchmarks/test_kernel.py`` (which writes
     ``BENCH_kernel.json``); the obs-run sentry skips these.
-``obs:overhead_pct``
-    The telemetry overhead governor: recording-path slowdown of the
-    sketch backend versus a NULL-telemetry run, in percent.  Validated
-    here but **evaluated by** ``benchmarks/test_telemetry_overhead.py``
-    (which amends ``BENCH_obs.json``); the obs-run sentry skips these.
+``lint:wall_ms``
+    The warm-cache whole-program lint wall time.  Validated here but
+    **evaluated by** ``benchmarks/test_lint_wall.py`` (which writes
+    ``BENCH_lint.json``); the obs-run sentry skips these.
 ``issues``
     The taxonomy/orphan issue count from the span-tree builder.
 
@@ -140,10 +139,10 @@ def _validate_selector(selector: str, source: str) -> None:
         return
     kind, sep, rest = selector.partition(":")
     if not sep or kind not in ("stage", "metric", "profile", "kernel",
-                               "obs", "lint"):
+                               "lint"):
         raise ConfigError(
             f"budget {source!r}: unknown selector {selector!r} "
-            f"(expected stage:/metric:/profile:/kernel:/obs:/lint: or "
+            f"(expected stage:/metric:/profile:/kernel:/lint: or "
             f"'issues')")
     if kind == "stage":
         parts = rest.split("/")
@@ -172,12 +171,6 @@ def _validate_selector(selector: str, source: str) -> None:
         if rest != "events_per_s":
             raise ConfigError(
                 f"budget {source!r}: kernel stat must be events_per_s")
-    elif kind == "obs":
-        # Gated by benchmarks/test_telemetry_overhead.py; the obs-run
-        # sentry measures sim time, not recording-path wall overhead.
-        if rest != "overhead_pct":
-            raise ConfigError(
-                f"budget {source!r}: obs stat must be overhead_pct")
     elif kind == "lint":
         # Gated by benchmarks/test_lint_wall.py against BENCH_lint.json:
         # the warm-cache whole-program lint must stay an editor-loop
@@ -295,9 +288,6 @@ def evaluate_budgets(budgets: _t.Sequence[Budget], run: "ObsRun",
                 float, getattr(run.profile, budget.selector[8:]))
         elif budget.selector.startswith("kernel:"):
             # Evaluated by the kernel microbenchmark, not the obs run.
-            continue
-        elif budget.selector.startswith("obs:"):
-            # Evaluated by the telemetry-overhead benchmark.
             continue
         elif budget.selector.startswith("lint:"):
             # Evaluated by the lint wall-time benchmark.

@@ -4,8 +4,8 @@ The admin plane's ``/metrics`` contract (docs/telemetry.md): the
 rendered text is deterministic byte-for-byte — families sorted by
 exposed name, series by label set, buckets by ascending ``le`` — and
 the golden file here pins the exact bytes for every instrument shape
-the registry can hold (counter, gauge, exact / sketch histograms,
-escaped label values).  ``parse_exposition`` is the scrape-side
+the registry can hold (counter, gauge, histogram, escaped label
+values).  ``parse_exposition`` is the scrape-side
 validator ``tools/check.sh`` runs against a live stack;
 ``telemetry_from_exposition`` is the ``obs --follow`` inverse.
 """
@@ -43,10 +43,6 @@ def build_registry() -> Telemetry:
                                 buckets=(1.0, 5.0, 25.0))
     for value in (0.5, 3.0, 7.0, 100.0):
         exact.observe(value, app="news")
-    sketch = telemetry.histogram("demo.sketch_ms", help="sketched",
-                                 backend="sketch")
-    for value in (1.0, 2.0, 4.0):
-        sketch.observe(value)
     return telemetry
 
 
@@ -96,20 +92,16 @@ def test_parse_round_trips_families_and_escapes():
     [(sample, labels, value)] = weird.samples
     assert labels == {"path": 'c:\\tmp\\"x"\nnext'}
     assert value == 1.0
-    # Histogram families carry backend labels and cumulative buckets.
+    # Histogram families carry cumulative buckets and only the series'
+    # own labels plus ``le``.
     exact = by_name["demo_exact_ms"]
     buckets = [(labels["le"], value)
                for name, labels, value in exact.samples
                if name.endswith("_bucket")]
     assert buckets == [("1.0", 1.0), ("5.0", 2.0), ("25.0", 3.0),
                        ("+Inf", 4.0)]
-    assert all(labels["backend"] == "exact"
+    assert all(set(labels) <= {"app", "le"}
                for _n, labels, _v in exact.samples)
-    sketch = by_name["demo_sketch_ms"]
-    assert {labels["backend"] for _n, labels, _v in sketch.samples} \
-        == {"sketch"}
-    assert {labels["alpha"] for _n, labels, _v in sketch.samples} \
-        == {"0.01"}
 
 
 def test_parser_rejects_malformed_lines():
@@ -153,7 +145,6 @@ def test_reconstruction_preserves_histogram_counts():
     assert rebuilt.histogram("demo.exact_ms").summary()["count"] == 4
     # Synthetic refills sit at bucket bounds: counts exact, quantiles
     # at bucket resolution (docs/telemetry.md spells out the fidelity).
-    assert rebuilt.histogram("demo.sketch_ms").summary() != {}
     # The rebuilt text is itself stable: render(parse(render)) fixes.
     once = render_prometheus(rebuilt)
     twice = render_prometheus(telemetry_from_exposition(once))

@@ -140,7 +140,7 @@ def test_histogram_empty_reads_raise_or_report_zero():
         hist.mean()
     with pytest.raises(TelemetryError):
         hist.percentile(50.0)
-    assert hist.summary() == {"count": 0.0, "backend": "exact"}
+    assert hist.summary() == {"count": 0.0}
 
 
 # ----------------------------------------------------------------------

@@ -21,7 +21,7 @@ from repro.telemetry.export import metric_records
 
 def _shard(index: int) -> Telemetry:
     """One per-AP-style shard with all three instrument kinds."""
-    telemetry = Telemetry(histogram_backend="sketch")
+    telemetry = Telemetry()
     requests = telemetry.counter("fleet.requests", help="req")
     used = telemetry.gauge("fleet.cache_used_bytes", help="bytes")
     serve = telemetry.histogram("fleet.serve_ms", help="ms")
@@ -77,7 +77,7 @@ def test_merged_aggregates_are_the_shard_sums():
 
 def test_uncapped_exact_histograms_merge_with_sorted_samples():
     def shard(values):
-        telemetry = Telemetry()  # exact backend
+        telemetry = Telemetry()
         histogram = telemetry.histogram("lat", help="ms")
         for value in values:
             histogram.observe(value)
@@ -89,13 +89,15 @@ def test_uncapped_exact_histograms_merge_with_sorted_samples():
     assert histogram.percentile(100.0) == 9.0
 
 
-def test_backend_mismatch_refuses_to_merge():
-    exact = Telemetry()
-    exact.histogram("lat", help="ms").observe(1.0)
-    sketchy = Telemetry(histogram_backend="sketch")
-    sketchy.histogram("lat", help="ms").observe(1.0)
-    with pytest.raises(TelemetryError, match="backend"):
-        sketchy.merge(exact)
+def test_bucket_mismatch_refuses_to_merge():
+    ours = Telemetry()
+    ours.histogram("lat", help="ms", buckets=(1.0, 5.0)).observe(1.0)
+    theirs = Telemetry()
+    theirs.histogram("lat", help="ms", buckets=(1.0, 10.0)).observe(1.0)
+    with pytest.raises(TelemetryError, match="different buckets"):
+        ours.merge(theirs)
+    # The refused fold left the target untouched.
+    assert ours.histogram("lat").samples() == [1.0]
 
 
 def test_kind_clash_refuses_to_merge():

@@ -3,8 +3,11 @@
 import pytest
 
 from repro.apps import AppRunner, movietrailer_app
+from repro.apps.generator import DummyAppParams, generate_apps
 from repro.baselines.multi_ap import WiCacheDistributedSystem
 from repro.errors import ConfigError
+from repro.telemetry import Telemetry, metrics_to_jsonl
+from repro.telemetry.instruments import percentile
 from repro.testbed import Testbed, TestbedConfig
 
 MB = 1024 * 1024
@@ -94,3 +97,43 @@ def test_aggregate_stats_cover_all_agents():
     stats = system.ap_cache_stats()
     assert stats["background_fills"] > 0
     assert stats["cache_used_bytes"] > 0
+
+
+def test_fleet_rollup_folds_the_per_ap_shards():
+    """An instrumented 2-AP run: the controller's merged view holds
+    exactly the shards' counts and samples, in any reporting order."""
+    bed = Testbed(TestbedConfig(seed=3, enable_telemetry=True))
+    system = WiCacheDistributedSystem(n_aps=2, cache_capacity_per_ap=MB)
+    system.install(bed)
+    apps = generate_apps(4, seed=3, params=DummyAppParams())
+
+    def drive(runner):
+        while True:
+            yield bed.sim.timeout(2.0)
+            yield bed.sim.process(runner.execute())
+
+    for index, app in enumerate(apps):
+        node = bed.add_client(f"client-{index}",
+                              ap_name=system.home_ap_name(index))
+        for obj in app.objects:
+            bed.host_object(obj.url, obj.size_bytes,
+                            origin_delay_s=obj.origin_delay_s)
+        bed.sim.process(drive(AppRunner(
+            bed.sim, app, system.new_fetcher(bed, node, app.app_id))))
+    bed.run(until=60.0)
+
+    assert len(system.shards) == 2
+    merged = system.fleet_rollup()
+    fetches = merged.counter("fleet.fetches")
+    for ap, shard in zip(("ap", "ap2"), system.shards):
+        shard_total = shard.counter("fleet.fetches").total()
+        assert shard_total > 0
+        assert fetches.total(ap=ap) == shard_total
+    union = [sample for shard in system.shards
+             for sample in shard.histogram("fleet.serve_ms").samples()]
+    assert union, "the run must serve some AP hits"
+    assert merged.histogram("fleet.serve_ms").percentile(95.0) == \
+        percentile(union, 95.0)
+    reversed_fold = Telemetry.from_states(
+        list(reversed(system.fleet_states())))
+    assert metrics_to_jsonl(reversed_fold) == metrics_to_jsonl(merged)
